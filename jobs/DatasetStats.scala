@@ -11,7 +11,7 @@ import repro.harness.Timing
   */
 object DatasetStats {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder.appName("repro-dataset-stats").getOrCreate()
+    val spark = SparkSession.builder().appName("repro-dataset-stats").getOrCreate()
     val sfs = args.toSeq match {
       case Seq(a, b, c) => Map("bitcoin" -> a.toDouble, "ctu13" -> b.toDouble, "prosper" -> c.toDouble)
       case _            => Map("bitcoin" -> 0.002, "ctu13" -> 0.02, "prosper" -> 0.02)

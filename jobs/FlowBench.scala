@@ -13,7 +13,7 @@ object FlowBench {
     val dataset = args.headOption.getOrElse("bitcoin")
     val sf      = args.lift(1).map(_.toDouble).getOrElse(defaultSf(dataset))
     val cap     = args.lift(2).map(_.toInt).getOrElse(2000)
-    val spark   = SparkSession.builder.appName(s"repro-flow-bench-$dataset").getOrCreate()
+    val spark   = SparkSession.builder().appName(s"repro-flow-bench-$dataset").getOrCreate()
     val report  = FlowExperiment.run(spark, FlowExperiment.Config(dataset, sf, cap))
     println(report.render)
     spark.stop()

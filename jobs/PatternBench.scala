@@ -12,7 +12,7 @@ object PatternBench {
   def main(args: Array[String]): Unit = {
     val dataset = args.headOption.getOrElse("bitcoin")
     val sf      = args.lift(1).map(_.toDouble).getOrElse(FlowBench.defaultSf(dataset))
-    val spark   = SparkSession.builder.appName(s"repro-pattern-bench-$dataset").getOrCreate()
+    val spark   = SparkSession.builder().appName(s"repro-pattern-bench-$dataset").getOrCreate()
     val report  = PatternExperiment.run(spark, PatternExperiment.Config(dataset, sf))
     println(report.render)
     spark.stop()

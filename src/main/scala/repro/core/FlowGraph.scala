@@ -82,10 +82,6 @@ final class FlowGraph(
 
   def isDag: Boolean = topologicalOrder.isDefined
 
-  /** Copy with a different edge map (same source/sink). */
-  def withEdges(newEdges: Map[(Int, Int), Vector[(Long, Double)]]): FlowGraph =
-    new FlowGraph(source, sink, newEdges)
-
   override def toString: String =
     s"FlowGraph(source=$source, sink=$sink, V=$vertexCount, E=$edgeCount, I=$interactionCount)"
 
@@ -96,23 +92,102 @@ final class FlowGraph(
   override def hashCode(): Int = (source, sink, edges).hashCode()
 }
 
+/** A mutable copy of a [[FlowGraph]], edited in place by preprocessing
+  * (Algorithm 1) and simplification (Algorithm 2): the edge map, out/in
+  * neighbour sets, the live vertices, and counters of what the edits removed
+  * (net of what merges added back).
+  *
+  * `outOf`/`inOf` return the live sets; a loop that removes edges while
+  * iterating one must iterate a copy.
+  */
+private[core] final class MutableGraph(g: FlowGraph) {
+  val source: Int = g.source
+  val sink: Int   = g.sink
+
+  private val edges = mutable.Map.from(g.edges)
+  private val out   = mutable.Map.empty[Int, mutable.Set[Int]]
+  private val in    = mutable.Map.empty[Int, mutable.Set[Int]]
+  g.edges.keysIterator.foreach { case (a, b) => link(a, b) }
+
+  /** Vertices not removed by [[removeVertex]]. */
+  lazy val alive: mutable.Set[Int] = mutable.Set.from(g.vertices)
+
+  var removedInteractions = 0
+  var removedEdges        = 0
+  var removedVertices     = 0
+
+  private def link(a: Int, b: Int): Unit = {
+    out.getOrElseUpdate(a, mutable.Set.empty) += b
+    in.getOrElseUpdate(b, mutable.Set.empty) += a
+  }
+
+  def outOf(v: Int): collection.Set[Int] = out.getOrElse(v, Set.empty[Int])
+  def inOf(v: Int): collection.Set[Int]  = in.getOrElse(v, Set.empty[Int])
+
+  /** The interactions of edge `(a, b)`, time-sorted; empty if absent. */
+  def edge(a: Int, b: Int): Vector[(Long, Double)] = edges.getOrElse((a, b), Vector.empty)
+
+  /** Remove edge `(a, b)` and return its interactions (empty if absent). */
+  def removeEdge(a: Int, b: Int): Vector[(Long, Double)] = edges.remove((a, b)) match {
+    case Some(es) =>
+      removedInteractions += es.size
+      removedEdges += 1
+      out.get(a).foreach(_ -= b)
+      in.get(b).foreach(_ -= a)
+      es
+    case None => Vector.empty
+  }
+
+  /** Add `es` to edge `(a, b)`, creating the edge if absent; the merged
+    * sequence is re-sorted by timestamp (stable on ties).
+    */
+  def mergeEdge(a: Int, b: Int, es: Vector[(Long, Double)]): Unit =
+    if (es.nonEmpty) {
+      if (!edges.contains((a, b))) { link(a, b); removedEdges -= 1 }
+      edges((a, b)) = (edge(a, b) ++ es).sortBy(_._1)
+      removedInteractions -= es.size
+    }
+
+  /** Remove `v` with all its edges (no-op if already removed). */
+  def removeVertex(v: Int): Unit =
+    if (alive.remove(v)) {
+      removedVertices += 1
+      // Detach v's sets first, so removeEdge does not edit the set iterated.
+      out.remove(v).foreach(_.foreach(removeEdge(v, _)))
+      in.remove(v).foreach(_.foreach(removeEdge(_, v)))
+    }
+
+  /** Remove every edge (the flow is 0), counting what goes. */
+  def clear(): Unit = {
+    removedInteractions += edges.valuesIterator.map(_.size).sum
+    removedEdges += edges.size
+    edges.clear(); out.clear(); in.clear()
+  }
+
+  def toFlowGraph: FlowGraph = new FlowGraph(source, sink, edges.toMap)
+}
+
 object FlowGraph {
 
   /** Build from a flat interaction list; per-edge sequences are sorted by
     * timestamp (stable on ties).
     */
-  def apply(source: Int, sink: Int, inters: Seq[Interaction]): FlowGraph = {
-    val edges = inters
-      .groupBy(i => (i.src, i.dst))
-      .view
-      .mapValues(is => is.map(i => (i.ts, i.qty)).sortBy(_._1).toVector)
-      .toMap
-    new FlowGraph(source, sink, edges)
-  }
+  def apply(source: Int, sink: Int, inters: Seq[Interaction]): FlowGraph =
+    new FlowGraph(source, sink, groupEdges(inters))
 
   /** Build from an explicit edge map (sequences are re-sorted defensively). */
   def fromEdges(source: Int, sink: Int, edges: Map[(Int, Int), Seq[(Long, Double)]]): FlowGraph =
-    new FlowGraph(source, sink, edges.view.mapValues(_.sortBy(_._1).toVector).toMap)
+    new FlowGraph(source, sink, sortEdges(edges.iterator))
+
+  /** Group interactions by `(src, dst)` into per-edge sequences sorted by
+    * timestamp (stable on ties): the edge map of [[apply]] and of
+    * `AdjacencyIndex`.
+    */
+  private[repro] def groupEdges(inters: Seq[Interaction]): Map[(Int, Int), Vector[(Long, Double)]] =
+    sortEdges(inters.groupBy(i => (i.src, i.dst)).iterator.map { case (e, is) => e -> is.map(i => (i.ts, i.qty)) })
+
+  private def sortEdges(edges: Iterator[((Int, Int), Seq[(Long, Double)])]): Map[(Int, Int), Vector[(Long, Double)]] =
+    edges.map { case (e, es) => e -> es.sortBy(_._1).toVector }.toMap
 
   /** Figure 4: connect multiple sources/sinks to one synthetic source/sink.
     *

@@ -37,137 +37,93 @@ object Preprocess {
   }
 
   def run(g: FlowGraph): Result = {
+    val m = new MutableGraph(g)
     g.topologicalOrder match {
-      case Some(order) => runDag(g, order)
-      case None        => runFixpoint(g)
+      case Some(order) => runDag(m, order)
+      case None        => runFixpoint(m)
+    }
+    cleanupReachability(m)
+    Result(m.toFlowGraph, m.removedInteractions, m.removedEdges, m.removedVertices)
+  }
+
+  /** Algorithm 1: single pass in topological order. */
+  private def runDag(m: MutableGraph, order: Vector[Int]): Unit = {
+    order.foreach { v =>
+      if (v != m.source && v != m.sink && m.alive(v)) {
+        if (m.inOf(v).isEmpty) m.removeVertex(v) // can never receive anything
+        else {
+          pruneAt(m, v)
+          if (m.outOf(v).isEmpty) removeUpwards(m, v) // can never forward
+        }
+      }
+    }
+    // The sink may have lost all incoming edges (zero flow).
+    if (m.alive(m.sink) && m.inOf(m.sink).isEmpty) m.clear()
+  }
+
+  /** Non-DAG fallback: iterate the same rule to fixpoint (the cleanup
+    * follows in [[run]]).
+    */
+  private def runFixpoint(m: MutableGraph): Unit = {
+    var changed = true
+    while (changed) {
+      changed = false
+      m.alive.foreach { v =>
+        if (v != m.source && v != m.sink && pruneAt(m, v)) changed = true
+      }
     }
   }
 
-  private final class MutGraph(g: FlowGraph) {
-    val edges: mutable.Map[(Int, Int), Vector[(Long, Double)]] = mutable.Map.from(g.edges)
-    val out: mutable.Map[Int, mutable.Set[Int]] = mutable.Map.empty
-    val in: mutable.Map[Int, mutable.Set[Int]]  = mutable.Map.empty
-    g.edges.keysIterator.foreach { case (a, b) =>
-      out.getOrElseUpdate(a, mutable.Set.empty) += b
-      in.getOrElseUpdate(b, mutable.Set.empty) += a
+  /** Delete `v` and cascade upwards through predecessors that lose their
+    * last outgoing edge (Algorithm 1, lines 18–22).
+    */
+  private def removeUpwards(m: MutableGraph, v: Int): Unit = {
+    val preds = m.inOf(v).toVector // copy: removing v empties inOf(v)
+    m.removeVertex(v)
+    preds.foreach { w =>
+      if (w != m.source && m.alive(w) && m.outOf(w).isEmpty) removeUpwards(m, w)
     }
-    val alive: mutable.Set[Int] = mutable.Set.from(g.vertices)
-    var removedInteractions     = 0
-    var removedEdges            = 0
-    var removedVertices         = 0
+  }
 
-    def outOf(v: Int): Set[Int] = out.get(v).map(_.toSet).getOrElse(Set.empty)
-    def inOf(v: Int): Set[Int]  = in.get(v).map(_.toSet).getOrElse(Set.empty)
-
-    def deleteEdge(a: Int, b: Int): Unit =
-      edges.remove((a, b)).foreach { es =>
-        removedInteractions += es.size
-        removedEdges += 1
-        out.get(a).foreach(_ -= b)
-        in.get(b).foreach(_ -= a)
-      }
-
-    def deleteVertex(v: Int): Unit =
-      if (alive.remove(v)) {
-        removedVertices += 1
-        outOf(v).foreach(u => deleteEdge(v, u))
-        inOf(v).foreach(w => deleteEdge(w, v))
-      }
-
-    /** Delete `v` and cascade upwards through predecessors that lose their
-      * last outgoing edge (Algorithm 1, lines 18–22).
-      */
-    def deleteUpwards(v: Int, source: Int): Unit = {
-      val preds = inOf(v)
-      deleteVertex(v)
-      preds.foreach { w =>
-        if (w != source && alive(w) && outOf(w).isEmpty) deleteUpwards(w, source)
-      }
-    }
-
-    def minIncomingTs(v: Int): Option[Long] = {
-      val ts = inOf(v).iterator.flatMap(w => edges.get((w, v)).iterator.flatMap(_.iterator.map(_._1)))
-      if (ts.isEmpty) None else Some(ts.min)
-    }
-
-    /** Apply the timestamp rule at `v`; returns true if anything changed. */
-    def pruneAt(v: Int): Boolean = minIncomingTs(v) match {
+  /** Apply the timestamp rule at `v`; returns true if anything changed.
+    * Edge sequences are time-sorted, so each edge's head is its minimum.
+    */
+  private def pruneAt(m: MutableGraph, v: Int): Boolean =
+    m.inOf(v).iterator.flatMap(w => m.edge(w, v).headOption.map(_._1)).minOption match {
       case None => false
       case Some(minTs) =>
         var changed = false
-        outOf(v).foreach { u =>
-          val es   = edges((v, u))
+        m.outOf(v).toVector.foreach { u => // copy: removeEdge edits outOf(v)
+          val es   = m.edge(v, u)
           val kept = es.filter { case (t, _) => t >= minTs }
           if (kept.size != es.size) {
             changed = true
-            removedInteractions += es.size - kept.size
-            edges((v, u)) = kept // update first so deleteEdge does not recount
-            if (kept.isEmpty) deleteEdge(v, u)
+            m.removeEdge(v, u)
+            m.mergeEdge(v, u, kept)
           }
         }
         changed
     }
 
-    def result(source: Int, sink: Int): Result = {
-      // If source or sink dropped out, the flow is 0: empty graph.
-      if (!alive(source) || !alive(sink) || edges.isEmpty)
-        Result(new FlowGraph(source, sink, Map.empty), removedInteractions, removedEdges, removedVertices)
-      else
-        Result(new FlowGraph(source, sink, edges.toMap), removedInteractions, removedEdges, removedVertices)
-    }
-  }
-
-  /** Algorithm 1: single pass in topological order. */
-  private def runDag(g: FlowGraph, order: Vector[Int]): Result = {
-    val m = new MutGraph(g)
-    order.foreach { v =>
-      if (v != g.source && v != g.sink && m.alive(v)) {
-        if (m.inOf(v).isEmpty) m.deleteVertex(v) // can never receive anything
-        else {
-          m.pruneAt(v)
-          if (m.outOf(v).isEmpty) m.deleteUpwards(v, g.source) // can never forward
-        }
-      }
-    }
-    // The sink may have lost all incoming edges (zero flow).
-    if (m.alive(g.sink) && m.inOf(g.sink).isEmpty) m.edges.clear()
-    cleanupReachability(m, g.source, g.sink)
-    m.result(g.source, g.sink)
-  }
-
-  /** Non-DAG fallback: iterate the same rule to fixpoint, then clean up. */
-  private def runFixpoint(g: FlowGraph): Result = {
-    val m       = new MutGraph(g)
-    var changed = true
-    while (changed) {
-      changed = false
-      m.alive.toVector.foreach { v =>
-        if (v != g.source && v != g.sink && m.alive(v)) {
-          if (m.pruneAt(v)) changed = true
-        }
-      }
-    }
-    cleanupReachability(m, g.source, g.sink)
-    m.result(g.source, g.sink)
-  }
-
   /** Keep only vertices on some source→…→sink path; everything else cannot
-    * carry flow and is removed (generalises the cascade deletions).
+    * carry flow and is removed (generalises the cascade deletions). If the
+    * source or sink dropped out or got disconnected, the flow is 0 and every
+    * edge goes.
     */
-  private def cleanupReachability(m: MutGraph, source: Int, sink: Int): Unit = {
-    def closure(start: Int, step: Int => Set[Int]): Set[Int] = {
+  private def cleanupReachability(m: MutableGraph): Unit = {
+    def closure(start: Int, step: Int => collection.Set[Int]): collection.Set[Int] = {
       val seen  = mutable.Set(start)
       val stack = mutable.Stack(start)
       while (stack.nonEmpty) {
         step(stack.pop()).foreach(u => if (seen.add(u)) stack.push(u))
       }
-      seen.toSet
+      seen
     }
-    if (!m.alive(source) || !m.alive(sink)) { m.edges.clear(); return }
-    val fwd  = closure(source, m.outOf)
-    val bwd  = closure(sink, m.inOf)
-    val keep = fwd intersect bwd
-    if (!keep(sink) || !keep(source)) { m.edges.clear(); return }
-    m.alive.toVector.foreach(v => if (!keep(v)) m.deleteVertex(v))
+    if (!m.alive(m.source) || !m.alive(m.sink)) m.clear()
+    else {
+      val keep = closure(m.source, m.outOf) intersect closure(m.sink, m.inOf)
+      if (!keep(m.sink) || !keep(m.source)) m.clear()
+      else m.alive.toVector.foreach(v => if (!keep(v)) m.removeVertex(v)) // copy: removeVertex edits alive
+    }
   }
 }

@@ -18,77 +18,49 @@ import scala.collection.mutable
   */
 object Simplify {
 
-  final case class Result(graph: FlowGraph, chainsReduced: Int, removedInteractions: Int)
+  final case class Result(graph: FlowGraph, chainsReduced: Int, removedInteractions: Int, removedEdges: Int)
 
   def run(g: FlowGraph): Result = {
-    val edges = mutable.Map.from(g.edges)
-    val out   = mutable.Map.empty[Int, mutable.Set[Int]]
-    val in    = mutable.Map.empty[Int, mutable.Set[Int]]
-    g.edges.keysIterator.foreach { case (a, b) =>
-      out.getOrElseUpdate(a, mutable.Set.empty) += b
-      in.getOrElseUpdate(b, mutable.Set.empty) += a
-    }
-    def outOf(v: Int): Set[Int] = out.get(v).map(_.toSet).getOrElse(Set.empty)
-    def inOf(v: Int): Set[Int]  = in.get(v).map(_.toSet).getOrElse(Set.empty)
-
-    def removeEdge(a: Int, b: Int): Vector[(Long, Double)] = {
-      val es = edges.remove((a, b)).getOrElse(Vector.empty)
-      out.get(a).foreach(_ -= b)
-      in.get(b).foreach(_ -= a)
-      es
-    }
-    def addOrMergeEdge(a: Int, b: Int, es: Vector[(Long, Double)]): Unit =
-      if (es.nonEmpty) {
-        val merged = (edges.getOrElse((a, b), Vector.empty) ++ es).sortBy(_._1)
-        edges((a, b)) = merged
-        out.getOrElseUpdate(a, mutable.Set.empty) += b
-        in.getOrElseUpdate(b, mutable.Set.empty) += a
-      }
-
-    var chains  = 0
-    var removed = 0
+    val m = new MutableGraph(g)
 
     /** First vertex `v1` of a reducible chain off the source, if any:
       * `v1 ≠ sink`, `v1`'s only in-neighbour is `s`, out-degree 1, and it is
       * not a self-referential 2-cycle with the source.
       */
     def findChainStart(): Option[Int] =
-      outOf(g.source).find { v1 =>
+      m.outOf(g.source).find { v1 =>
         v1 != g.sink && v1 != g.source &&
-        inOf(v1) == Set(g.source) && outOf(v1).size == 1 &&
-        outOf(v1).head != v1 && outOf(v1).head != g.source
+        m.inOf(v1) == Set(g.source) && m.outOf(v1).size == 1 &&
+        m.outOf(v1).head != v1 && m.outOf(v1).head != g.source
       }
 
-    var start = findChainStart()
+    var chains = 0
+    var start  = findChainStart()
     while (start.isDefined) {
       val v1 = start.get
       // Follow the chain: interior vertices have in-degree 1 and out-degree 1.
       val interior = mutable.ArrayBuffer(v1)
-      var cur      = outOf(v1).head
+      var cur      = m.outOf(v1).head
       var go       = true
       while (go) {
         if (cur != g.sink && cur != g.source &&
-            inOf(cur).size == 1 && outOf(cur).size == 1 &&
-            outOf(cur).head != cur && outOf(cur).head != g.source &&
-            !interior.contains(outOf(cur).head)) {
+            m.inOf(cur).size == 1 && m.outOf(cur).size == 1 &&
+            m.outOf(cur).head != cur && m.outOf(cur).head != g.source &&
+            !interior.contains(m.outOf(cur).head)) {
           interior += cur
-          cur = outOf(cur).head
+          cur = m.outOf(cur).head
         } else go = false
       }
       val vk = cur
-      // Collect the chain's edge sequences s -> v1 -> … -> vk.
+      // Remove the chain's edges s -> v1 -> … -> vk; greedy over their
+      // sequences yields the arrivals into vk (Lemma 3).
       val pathVertices = g.source +: interior.toVector :+ vk
-      val seqs = pathVertices.sliding(2).map(w => removeEdge(w(0), w(1))).toVector
-      removed += seqs.map(_.size).sum
-      interior.foreach { v => out.remove(v); in.remove(v) }
-      // Greedy over the chain yields the arrivals into vk (Lemma 3).
-      val arrivals = Greedy.chain(seqs).sinkArrivals
-      addOrMergeEdge(g.source, vk, arrivals)
-      removed -= arrivals.size
+      val seqs = pathVertices.sliding(2).map(w => m.removeEdge(w(0), w(1))).toVector
+      m.mergeEdge(g.source, vk, Greedy.chain(seqs).sinkArrivals)
       chains += 1
       start = findChainStart()
     }
 
-    Result(new FlowGraph(g.source, g.sink, edges.toMap), chains, removed)
+    Result(m.toFlowGraph, chains, m.removedInteractions, m.removedEdges)
   }
 }

@@ -1,6 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core.{FlowGraph, Interaction}
 
@@ -47,9 +47,10 @@ object SubgraphExtractor {
     import spark.implicits._
     val e = distinctEdges(net).cache()
 
-    // 2-hop cycles a→b→a: arcs (a,b) and (b,a).
+    // 2-hop cycles a→b→a with a ≠ b (a self-loop is not a cycle through
+    // another vertex): arcs (a,b) and (b,a).
     val c2 = e.as("e1")
-      .join(e.as("e2"), $"e1.dst" === $"e2.src" && $"e2.dst" === $"e1.src")
+      .join(e.as("e2"), $"e1.dst" === $"e2.src" && $"e2.dst" === $"e1.src" && $"e1.src" =!= $"e1.dst")
       .select($"e1.src" as "a", $"e1.dst" as "b")
     val c2arcs = c2.select($"a" as "seed", explode(array(
       struct($"a" as "src", $"b" as "dst"),

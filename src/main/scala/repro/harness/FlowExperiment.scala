@@ -3,6 +3,7 @@ package repro.harness
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
 import repro.data.{NetworkGen, SubgraphExtractor}
+import scala.util.control.NonFatal
 
 /** The flow-computation experiment of Section 6.2 (Tables 5, 6, 7, 8 and the
   * bucket breakdown behind Figure 11).
@@ -14,12 +15,19 @@ import repro.data.{NetworkGen, SubgraphExtractor}
   * runtimes over All and per class, plus per interaction-count bucket
   * (<100, 100–1000, >1000).
   *
-  * When `verify` is set, every subgraph's LP / Pre / PreSim flows are
-  * cross-checked against each other and against the independent
-  * time-expanded Dinic solver — an end-to-end correctness gate riding along
-  * with the benchmark (verification time is excluded from reported numbers).
+  * Every subgraph's LP / Pre / PreSim flows are cross-checked against the
+  * independent time-expanded Dinic solver — an end-to-end correctness gate
+  * riding along with the benchmark (verification time is excluded from
+  * reported numbers).
   */
 object FlowExperiment {
+
+  /** Measure at most this many subgraphs (deterministic sample). The paper
+    * timed all 48.7K Bitcoin subgraphs with a C implementation; sampling
+    * keeps the per-subgraph averages while bounding bench wall-clock on the
+    * JVM.
+    */
+  private val MaxSubgraphs = 2500
 
   final case class Config(
       dataset: String,
@@ -27,12 +35,6 @@ object FlowExperiment {
       /** Discard subgraphs with more interactions (paper used 10K; our dense
         * simplex substrate motivates a lower default, DESIGN.md §3). */
       maxInteractions: Int = 2000,
-      /** Measure at most this many subgraphs (deterministic sample). The
-        * paper timed all 48.7K Bitcoin subgraphs with a C implementation;
-        * sampling keeps the per-subgraph averages while bounding bench
-        * wall-clock on the JVM. Non-positive = measure all. */
-      maxSubgraphs: Int = 2500,
-      verify: Boolean = true,
   )
 
   /** Per-subgraph measurement row. */
@@ -125,20 +127,19 @@ object FlowExperiment {
     val sgStats = SubgraphExtractor.stats(all) // Table 5 reports the full population
     val total   = sgStats._1
     val subgraphs =
-      if (cfg.maxSubgraphs > 0 && total > cfg.maxSubgraphs)
-        all.sample(withReplacement = false, cfg.maxSubgraphs.toDouble / total, seed = 42L)
+      if (total > MaxSubgraphs)
+        all.sample(withReplacement = false, MaxSubgraphs.toDouble / total, seed = 42L)
       else all
 
-    val verify = cfg.verify
     val measured = subgraphs.mapPartitions { it =>
       // JIT warm-up: exercise all methods once on the first subgraph of the
       // partition without recording (the paper's C baseline has no JIT).
       val buffered = it.buffered
       if (buffered.hasNext) {
         val g = buffered.head.toFlowGraph
-        try measure(buffered.head.seed, g, verify = false) catch { case _: Throwable => () }
+        try measure(buffered.head.seed, g, verify = false) catch { case NonFatal(_) => () }
       }
-      buffered.map { sg => measure(sg.seed, sg.toFlowGraph, verify) }
+      buffered.map { sg => measure(sg.seed, sg.toFlowGraph, verify = true) }
     }.collect()
 
     net.unpersist(); all.unpersist()

@@ -1,7 +1,6 @@
 package repro.harness
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.SparkSession
 import repro.data.NetworkGen
 import repro.patterns._
 
@@ -92,36 +91,32 @@ object PatternExperiment {
     val adjB   = spark.sparkContext.broadcast(adj)
     val vSlices = slices(adj.vertices, cfg.gbSlices)
 
-    def gbRigid(p: Pattern, cap: Long): (Long, Double, Double, Boolean) = {
-      val capPerTask = math.max(1L, cap / cfg.gbSlices)
+    /** Run `f` on every vertex slice as one Spark task each; returns the
+      * summed instance counts and flows, the time in ms, and whether any
+      * task hit its cap.
+      */
+    def gbFanOut(f: Array[Int] => (Long, Double, Boolean)): (Long, Double, Double, Boolean) = {
       val ((n, tot, capped), ns) = Timing.timeNs {
-        spark.createDataset(vSlices).map { sl =>
-          val (n, f) = GraphBrowsing.enumerateWithFlow(adjB.value, p, capPerTask, Some(sl))
-          (n, f, n >= capPerTask)
-        }.collect().foldLeft((0L, 0.0, false)) { case ((a, b, c), (x, y, z)) => (a + x, b + y, c || z) }
+        spark.createDataset(vSlices).map(f)
+          .collect().foldLeft((0L, 0.0, false)) { case ((a, b, c), (x, y, z)) => (a + x, b + y, c || z) }
       }
       (n, tot, Timing.nsToMs(ns), capped)
     }
 
-    def gbRelaxedCycles(hops: Int): (Long, Double, Double) = {
-      val ((n, tot), ns) = Timing.timeNs {
-        spark.createDataset(vSlices).map { sl =>
-          val rs = GraphBrowsing.relaxedCycles(adjB.value, hops, Some(sl))
-          (rs.size.toLong, rs.map(_._3).sum)
-        }.collect().foldLeft((0L, 0.0)) { case ((a, b), (x, y)) => (a + x, b + y) }
+    def gbRigid(p: Pattern, cap: Long): (Long, Double, Double, Boolean) = {
+      val capPerTask = math.max(1L, cap / cfg.gbSlices)
+      gbFanOut { sl =>
+        val (n, f) = GraphBrowsing.enumerateWithFlow(adjB.value, p, capPerTask, Some(sl))
+        (n, f, n >= capPerTask)
       }
-      (n, tot, Timing.nsToMs(ns))
     }
 
-    def gbRelaxedChains(): (Long, Double, Double) = {
-      val ((n, tot), ns) = Timing.timeNs {
-        spark.createDataset(vSlices).map { sl =>
-          val rs = GraphBrowsing.relaxedChains2(adjB.value, Some(sl))
-          (rs.size.toLong, rs.map(_._3).sum)
-        }.collect().foldLeft((0L, 0.0)) { case ((a, b), (x, y)) => (a + x, b + y) }
+    /** Non-rigid instances: one row per instance, flow in the third field. */
+    def gbRelaxed(instances: Option[Array[Int]] => Seq[Product3[Any, Int, Double]]): (Long, Double, Double, Boolean) =
+      gbFanOut { sl =>
+        val rs = instances(Some(sl))
+        (rs.size.toLong, rs.map(_._3).sum, false)
       }
-      (n, tot, Timing.nsToMs(ns))
-    }
 
     // ---- PB side: precompute tables ----
     val withChains = cfg.dataset == "prosper"
@@ -160,31 +155,23 @@ object PatternExperiment {
     // P4: both sides capped at p4Cap, like the paper's starred runs.
     locally {
       val g = gbRigid(Patterns.P4, cfg.p4Cap)
-      val (pn, pavg, pms) = timed {
-        val limited = PatternEnum.p4Limited(net, cfg.p4Cap)
-        limited
-      }
+      val (pn, pavg, pms) = timed(PatternEnum.p4Limited(net, cfg.p4Cap))
       rows += PatternRow("P4", math.max(g._1, pn), if (pn > 0) pavg else g._2 / math.max(1L, g._1),
         g._3, pms, gbCapped = true)
     }
     addRigid("P5", gbRigid(Patterns.P5, cfg.gbCap), PatternEnum.p5(l2, l3))
     addRigid("P6", gbRigid(Patterns.P6, cfg.gbCap), PatternEnum.p6(l3))
 
-    if (withChains) {
-      val (gn, gtot, gms) = gbRelaxedChains()
-      val (pn, pavg, pms) = timed(PatternEnum.rp1(c2.get))
-      rows += PatternRow("RP1", pn, if (gn == 0) pavg else gtot / gn, gms, pms, gbCapped = false)
+    def addRelaxed(name: String, gbRes: (Long, Double, Double, Boolean), pb: => (Long, Double)): Unit = {
+      val (gn, gtot, gms, _) = gbRes
+      val (pn, pavg, pms)    = timed(pb)
+      rows += PatternRow(name, pn, if (gn == 0) pavg else gtot / gn, gms, pms, gbCapped = false)
     }
-    locally {
-      val (gn, gtot, gms) = gbRelaxedCycles(2)
-      val (pn, pavg, pms) = timed(PatternEnum.rp2(l2))
-      rows += PatternRow("RP2", pn, if (gn == 0) pavg else gtot / gn, gms, pms, gbCapped = false)
-    }
-    locally {
-      val (gn, gtot, gms) = gbRelaxedCycles(3)
-      val (pn, pavg, pms) = timed(PatternEnum.rp3(l3))
-      rows += PatternRow("RP3", pn, if (gn == 0) pavg else gtot / gn, gms, pms, gbCapped = false)
-    }
+
+    if (withChains)
+      addRelaxed("RP1", gbRelaxed(GraphBrowsing.relaxedChains2(adjB.value, _)), PatternEnum.rp1(c2.get))
+    addRelaxed("RP2", gbRelaxed(GraphBrowsing.relaxedCycles(adjB.value, 2, _)), PatternEnum.rp2(l2))
+    addRelaxed("RP3", gbRelaxed(GraphBrowsing.relaxedCycles(adjB.value, 3, _)), PatternEnum.rp3(l3))
 
     val report = Report(cfg.dataset, cfg.sf, Timing.nsToMs(preNs), tableSizes, rows.toSeq)
     l2.unpersist(); l3.unpersist(); c2.foreach(_.unpersist()); net.unpersist(); adjB.destroy()

@@ -22,10 +22,7 @@ final class AdjacencyIndex(val edges: Map[(Int, Int), Vector[(Long, Double)]]) e
 
 object AdjacencyIndex {
   def fromInteractions(inters: Seq[Interaction]): AdjacencyIndex =
-    new AdjacencyIndex(
-      inters.groupBy(i => (i.src, i.dst)).view
-        .mapValues(_.map(i => (i.ts, i.qty)).sortBy(_._1).toVector).toMap
-    )
+    new AdjacencyIndex(FlowGraph.groupEdges(inters))
 }
 
 /** Graph browsing (Section 5.1): enumerate pattern instances by mapping the

@@ -93,10 +93,26 @@ class FlowGraphSpec extends SparkSpec {
     assert(n.map(_.qty) === Seq(1.0, 2.0, 3.0))
   }
 
-  test("withEdges keeps source and sink") {
-    val g = TestGraphs.fig3.withEdges(Map((0, 3) -> Vector((1L, 1.0))))
+  test("MutableGraph keeps source and sink and counts removals") {
+    val m = new MutableGraph(TestGraphs.fig3)
+    assert(m.removeEdge(1, 2) === Vector((3L, 5.0)))
+    m.mergeEdge(0, 3, Vector((1L, 1.0)))
+    m.mergeEdge(0, 1, Vector((0L, 2.0)))
+    assert(m.edge(0, 1) === Vector((0L, 2.0), (1L, 5.0)))
+    assert(m.inOf(3) === Set(0, 1, 2))
+    assert((m.removedEdges, m.removedInteractions) === ((0, -1)))
+    m.removeVertex(2)
+    assert(m.outOf(0) === Set(1, 3))
+    assert(m.removedVertices === 1)
+    val g = m.toFlowGraph
     assert(g.source === 0 && g.sink === 3)
-    assert(g.edgeCount === 1)
+    assert(g.edges.keySet === Set((0, 1), (0, 3), (1, 3)))
+    assert(TestGraphs.fig3.interactionCount - m.removedInteractions === g.interactionCount)
+    assert(TestGraphs.fig3.edgeCount - m.removedEdges === g.edgeCount)
+    m.clear()
+    assert(m.toFlowGraph.isEmpty && m.toFlowGraph.vertices === Set(0, 3))
+    assert(m.removedInteractions === TestGraphs.fig3.interactionCount)
+    assert(m.removedEdges === TestGraphs.fig3.edgeCount)
   }
 
   test("equality is structural") {

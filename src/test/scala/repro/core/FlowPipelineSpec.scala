@@ -41,10 +41,11 @@ class FlowPipelineSpec extends SparkSpec {
     }
   }
 
-  test("classify matches the class reported by pre()") {
-    for (g <- Seq(TestGraphs.fig3, TestGraphs.chain4, TestGraphs.lemma2Dag,
-                  TestGraphs.g2Preprocess, TestGraphs.classC)) {
-      assert(classify(g) === pre(g).cls)
+  test("pre() reports the expected class on every fixture") {
+    for ((g, cls) <- Seq(TestGraphs.fig3 -> ClassC, TestGraphs.chain4 -> ClassA,
+                         TestGraphs.lemma2Dag -> ClassA, TestGraphs.g2Preprocess -> ClassB,
+                         TestGraphs.classC -> ClassC)) {
+      assert(pre(g).cls === cls, s"on $g")
     }
   }
 
@@ -77,7 +78,7 @@ class FlowPipelineSpec extends SparkSpec {
   }
 
   test("class C fixture still classifies C after its prunable interaction is removed") {
-    assert(classify(TestGraphs.classC) === ClassC)
+    assert(pre(TestGraphs.classC).cls === ClassC)
     assert(math.abs(preSim(TestGraphs.classC).flow - 5.0) < Tol)
   }
 }

@@ -12,7 +12,8 @@ import repro.maxflow.TimeExpanded
   *   greedy <= max flow,
   *   LP == time-expanded Dinic,
   *   Pre == PreSim == LP,
-  *   preprocessing and simplification preserve the max flow,
+  *   preprocessing and simplification preserve the max flow and count
+  *   exactly what they remove,
   *   Lemma 2 graphs: greedy == max flow.
   *
   * (Driven by raw ScalaCheck generators — the scalatest-scalacheck bridge is
@@ -79,6 +80,26 @@ class InvariantPropertiesSpec extends SparkSpec {
   test("property: simplification preserves the max flow") {
     checkProp("simplify", TestGraphs.genDag()) { g =>
       math.abs(maxFlowRef(g) - maxFlowRef(Simplify.run(g).graph)) < Tol
+    }
+  }
+
+  /** What a pass reports removed is exactly what its output graph lacks. */
+  private def accounted(g: FlowGraph, out: FlowGraph, interactions: Int, edges: Int): Boolean =
+    g.interactionCount - interactions == out.interactionCount && g.edgeCount - edges == out.edgeCount
+
+  for ((shape, gen) <- Seq("DAGs" -> TestGraphs.genDag(), "cyclic shapes" -> TestGraphs.genMaybeCyclic())) {
+    test(s"property: preprocessing counts removed interactions and edges ($shape)") {
+      checkProp(s"preprocess counts/$shape", gen) { g =>
+        val r = Preprocess.run(g)
+        accounted(g, r.graph, r.removedInteractions, r.removedEdges)
+      }
+    }
+
+    test(s"property: simplification counts removed interactions and edges ($shape)") {
+      checkProp(s"simplify counts/$shape", gen) { g =>
+        val r = Simplify.run(g)
+        accounted(g, r.graph, r.removedInteractions, r.removedEdges)
+      }
     }
   }
 

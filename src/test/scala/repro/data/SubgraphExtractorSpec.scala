@@ -42,7 +42,8 @@ class SubgraphExtractorSpec extends SparkSpec {
       """
       WITH e AS (SELECT DISTINCT src, dst FROM net),
       c2 AS (SELECT e1.src AS seed, e1.src AS a, e1.dst AS b
-             FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e2.dst = e1.src),
+             FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e2.dst = e1.src
+             WHERE e1.src <> e1.dst),
       c3 AS (SELECT e1.src AS seed, e1.src AS a, e1.dst AS b, e2.dst AS c
              FROM e e1
              JOIN e e2 ON e1.dst = e2.src AND e2.dst <> e1.src
@@ -77,6 +78,14 @@ class SubgraphExtractorSpec extends SparkSpec {
     val sg = SubgraphExtractor.extract(net, 1000).collect().find(_.seed == 3).get
     val pairs = sg.inters.map(i => (i.src, i.dst)).toSet
     assert(pairs === Set((SubgraphExtractor.SourceId, 4), (4, 5), (5, SubgraphExtractor.SinkId)))
+  }
+
+  test("a self-loop is not a 2-hop cycle") {
+    val s = spark
+    import s.implicits._
+    val loopy = Seq(Interaction(1, 1, 1L, 5.0), Interaction(2, 3, 2L, 1.0)).toDF()
+    assert(SubgraphExtractor.cycleArcs(loopy).count() === 0)
+    assert(SubgraphExtractor.extract(loopy, 1000).count() === 0)
   }
 
   test("interaction cap discards oversized subgraphs") {

@@ -1,7 +1,7 @@
 package repro.harness
 
 import repro.SparkSpec
-import repro.core.{FlowPipeline, TestGraphs}
+import repro.core.TestGraphs
 
 /** Smoke tests for the experiment harnesses at tiny scale (the real runs
   * live in the `bench` project), plus units for the timing helpers.

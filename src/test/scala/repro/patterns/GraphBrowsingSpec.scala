@@ -1,7 +1,7 @@
 package repro.patterns
 
 import repro.SparkSpec
-import repro.core.{FlowPipeline, Greedy, Interaction}
+import repro.core.{FlowPipeline, Interaction}
 
 /** Tests for the graph-browsing (GB) pattern enumeration baseline
   * (Section 5.1): structure, label/μ constraints, symmetry breaking, and

@@ -1,10 +1,8 @@
 package repro.patterns
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.Interaction
-import repro.data.NetworkGen
 
 /** The PB join-based pattern enumeration must agree with the GB
   * backtracking baseline on instance counts and total flows — the central
