@@ -7,7 +7,8 @@ import repro.harness.FlowExperiment
   * Pre vs PreSim, per class A/B/C and per interaction bucket (Fig. 11's
   * data). One suite per paper table; each prints its dataset's Table 5 row
   * too. Every subgraph's LP/Pre/PreSim flows are cross-checked against the
-  * time-expanded Dinic oracle while benchmarking (`mismatches` must be 0).
+  * time-expanded Dinic oracle while benchmarking (`mismatches` must be 0),
+  * and no subgraph's measurement may throw (`failures` must be empty).
   */
 abstract class FlowBenchBase(dataset: String) extends SparkSpec {
 
@@ -18,6 +19,7 @@ abstract class FlowBenchBase(dataset: String) extends SparkSpec {
     println(report.render)
     assert(report.rows.nonEmpty, "no subgraphs extracted — scale factor too small")
     assert(report.mismatches === 0L, "flow method disagreement detected")
+    assert(report.failures.isEmpty, s"subgraph measurements threw: ${report.failures.take(5)}")
     // The paper's headline shape: PreSim is at least as fast as LP on average.
     val avgLp  = report.rows.map(_.tLpNs).sum / report.rows.size
     val avgSim = report.rows.map(_.tPreSimNs).sum / report.rows.size

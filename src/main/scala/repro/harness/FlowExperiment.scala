@@ -57,6 +57,8 @@ object FlowExperiment {
       subgraphStats: (Long, Double, Double, Double), // Table 5
       rows: Seq[Row],
       mismatches: Long,
+      /** `(seed, error)` of every subgraph whose measurement threw. */
+      failures: Seq[(Int, String)],
   ) {
     private def avgMs(rs: Seq[Row], f: Row => Long): String =
       if (rs.isEmpty) "-" else Timing.fmtMs(Timing.nsToMs(rs.map(f).sum / rs.size))
@@ -92,6 +94,7 @@ object FlowExperiment {
          |
          |${tableFor("By #interactions", byBucket)}
          |verify mismatches: $mismatches
+         |failures: ${failures.size}${failures.take(5).map { case (sd, e) => s"\n  seed $sd: $e" }.mkString}
          |""".stripMargin
     }
   }
@@ -114,6 +117,26 @@ object FlowExperiment {
     (Row(seed, g.interactionCount, preO.cls.name, gres, simO.flow, tG, tLp, tP, tS), mism)
   }
 
+  /** One subgraph's [[measure]] result, or the error that stopped it. */
+  final case class Outcome(seed: Int, row: Option[Row], mismatches: Long, error: Option[String])
+
+  /** [[measure]] every subgraph of one partition, after a JIT warm-up on the
+    * first one (the paper's C baseline has no JIT). A subgraph whose
+    * measurement throws becomes a failed [[Outcome]] instead of failing the
+    * task, so one bad subgraph cannot kill the whole job.
+    */
+  def measureAll(it: Iterator[SubgraphExtractor.Subgraph]): Iterator[Outcome] = {
+    val buffered = it.buffered
+    if (buffered.hasNext)
+      try measure(buffered.head.seed, buffered.head.toFlowGraph, verify = false) catch { case NonFatal(_) => () }
+    buffered.map { sg =>
+      try {
+        val (row, mism) = measure(sg.seed, sg.toFlowGraph, verify = true)
+        Outcome(sg.seed, Some(row), mism, None)
+      } catch { case NonFatal(e) => Outcome(sg.seed, None, 0L, Some(e.toString)) }
+    }
+  }
+
   def run(spark: SparkSession, cfg: Config): Report = {
     import spark.implicits._
     val spec = NetworkGen.byName(cfg.dataset)
@@ -126,23 +149,18 @@ object FlowExperiment {
       SubgraphExtractor.extract(net, cfg.maxInteractions).cache()
     val sgStats = SubgraphExtractor.stats(all) // Table 5 reports the full population
     val total   = sgStats._1
+    // The sample depends on the seed ids alone (the first `MaxSubgraphs`
+    // under a fixed bijective hash), not on how `extract` partitions.
     val subgraphs =
-      if (total > MaxSubgraphs)
-        all.sample(withReplacement = false, MaxSubgraphs.toDouble / total, seed = 42L)
-      else all
+      if (total > MaxSubgraphs) {
+        val keep = all.map(_.seed).collect().sortBy(scala.util.hashing.byteswap32).take(MaxSubgraphs).toSet
+        all.filter(sg => keep(sg.seed))
+      } else all
 
-    val measured = subgraphs.mapPartitions { it =>
-      // JIT warm-up: exercise all methods once on the first subgraph of the
-      // partition without recording (the paper's C baseline has no JIT).
-      val buffered = it.buffered
-      if (buffered.hasNext) {
-        val g = buffered.head.toFlowGraph
-        try measure(buffered.head.seed, g, verify = false) catch { case NonFatal(_) => () }
-      }
-      buffered.map { sg => measure(sg.seed, sg.toFlowGraph, verify = true) }
-    }.collect()
+    val measured = subgraphs.mapPartitions(measureAll).collect().toSeq
 
     net.unpersist(); all.unpersist()
-    Report(cfg.dataset, cfg.sf, netStats, sgStats, measured.map(_._1).toSeq, measured.map(_._2).sum)
+    Report(cfg.dataset, cfg.sf, netStats, sgStats, measured.flatMap(_.row), measured.map(_.mismatches).sum,
+      measured.flatMap(o => o.error.map(o.seed -> _)))
   }
 }

@@ -75,10 +75,6 @@ object PatternExperiment {
     }
   }
 
-  /** Round-robin slices of the vertex array, spreading hubs across tasks. */
-  private def slices(vertices: Array[Int], n: Int): Seq[Array[Int]] =
-    (0 until n).map(i => vertices.indices.collect { case j if j % n == i => vertices(j) }.toArray)
-
   def run(spark: SparkSession, cfg: Config): Report = {
     import spark.implicits._
     val spec = NetworkGen.byName(cfg.dataset)
@@ -89,7 +85,7 @@ object PatternExperiment {
     val inters = net.select($"src", $"dst", $"ts", $"qty").as[repro.core.Interaction].collect()
     val adj    = AdjacencyIndex.fromInteractions(inters.toSeq)
     val adjB   = spark.sparkContext.broadcast(adj)
-    val vSlices = slices(adj.vertices, cfg.gbSlices)
+    val vSlices = adj.vertexSlices(cfg.gbSlices)
 
     /** Run `f` on every vertex slice as one Spark task each; returns the
       * summed instance counts and flows, the time in ms, and whether any

@@ -53,24 +53,32 @@ final class Dinic(n: Int) {
     level(t) >= 0
   }
 
-  private def dfs(u: Int, t: Int, f: Double): Double = {
-    if (u == t) f
-    else {
-      var res = 0.0
-      while (res == 0.0 && iter(u) < head(u).size) {
+  /** Edges of the current search path; levels strictly increase along it,
+    * so it has fewer than `n` edges.
+    */
+  private val path = new Array[Int](n)
+
+  /** Push the bottleneck of one `s`-`t` path of the level graph and return
+    * it, or 0 when the level graph has none left. The depth-first search
+    * keeps its path in [[path]] instead of recursing: in a time-expanded
+    * graph a path can walk a whole holdover chain, too deep for the stack.
+    * `iter(u)` skips edges that led to a dead end, as in recursive Dinic.
+    */
+  private def augment(s: Int, t: Int): Double = {
+    var depth = 0
+    var u     = s
+    while (u != t) {
+      if (iter(u) < head(u).size) {
         val e = head(u)(iter(u))
-        val v = to(e)
-        if (cap(e) > Eps && level(v) == level(u) + 1) {
-          val d = dfs(v, t, math.min(f, cap(e)))
-          if (d > Eps) {
-            cap(e) -= d
-            cap(e ^ 1) += d
-            res = d
-          } else iter(u) += 1
-        } else iter(u) += 1
-      }
-      res
+        if (cap(e) > Eps && level(to(e)) == level(u) + 1) { path(depth) = e; depth += 1; u = to(e) }
+        else iter(u) += 1
+      } else if (depth == 0) return 0.0
+      else { depth -= 1; u = to(path(depth) ^ 1); iter(u) += 1 } // retreat from the dead end
     }
+    var f = Double.PositiveInfinity
+    path.iterator.take(depth).foreach(e => f = math.min(f, cap(e)))
+    path.iterator.take(depth).foreach { e => cap(e) -= f; cap(e ^ 1) += f }
+    f
   }
 
   /** Maximum s-t flow. May legitimately return `PositiveInfinity` when an
@@ -83,11 +91,11 @@ final class Dinic(n: Int) {
     var flow = 0.0
     while (bfs(s, t)) {
       java.util.Arrays.fill(iter, 0)
-      var f = dfs(s, t, Double.PositiveInfinity)
+      var f = augment(s, t)
       while (f > Eps) {
         flow += f
         if (f.isInfinity) return Double.PositiveInfinity
-        f = dfs(s, t, Double.PositiveInfinity)
+        f = augment(s, t)
       }
     }
     flow

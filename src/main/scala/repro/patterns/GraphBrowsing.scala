@@ -10,14 +10,17 @@ import scala.collection.mutable
 final class AdjacencyIndex(val edges: Map[(Int, Int), Vector[(Long, Double)]]) extends Serializable {
   val out: Map[Int, Array[Int]] =
     edges.keysIterator.toVector.groupMap(_._1)(_._2).view.mapValues(_.toArray.sorted).toMap
-  val in: Map[Int, Array[Int]] =
-    edges.keysIterator.toVector.groupMap(_._2)(_._1).view.mapValues(_.toArray.sorted).toMap
   val vertices: Array[Int] =
     edges.keysIterator.flatMap { case (a, b) => Iterator(a, b) }.toArray.distinct.sorted
 
   def outOf(v: Int): Array[Int]              = out.getOrElse(v, Array.empty)
-  def inOf(v: Int): Array[Int]               = in.getOrElse(v, Array.empty)
   def interactions(a: Int, b: Int): Vector[(Long, Double)] = edges.getOrElse((a, b), Vector.empty)
+
+  /** [[vertices]] dealt round-robin into `n` slices, spreading hubs across
+    * the tasks that each take one slice.
+    */
+  def vertexSlices(n: Int): Seq[Array[Int]] =
+    (0 until n).map(i => (i until vertices.length by n).map(vertices(_)).toArray)
 }
 
 object AdjacencyIndex {

@@ -1,11 +1,14 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.core.{FlowPipeline, Interaction}
+import repro.data.SubgraphExtractor.{SinkId, SourceId}
 
 /** Tests for the seed-cycle subgraph extraction (Section 6.2 protocol),
-  * with the cycle-arc join verified against DuckDB.
+  * with the cycle arcs and the whole extraction verified against DuckDB
+  * joins.
   */
 class SubgraphExtractorSpec extends SparkSpec {
 
@@ -22,10 +25,6 @@ class SubgraphExtractorSpec extends SparkSpec {
       Interaction(5, 3, 6L, 2.0),
       Interaction(6, 7, 7L, 1.0),
     ).toDF()
-  }
-
-  test("distinctEdges collapses interaction multiplicity") {
-    assert(SubgraphExtractor.distinctEdges(net).count() === 6)
   }
 
   test("cycleArcs finds 2-cycle seeds 1,2 and 3-cycle seeds 3,4,5 but not 6,7") {
@@ -87,6 +86,103 @@ class SubgraphExtractorSpec extends SparkSpec {
     assert(SubgraphExtractor.cycleArcs(loopy).count() === 0)
     assert(SubgraphExtractor.extract(loopy, 1000).count() === 0)
   }
+
+  private def toDF(inters: Interaction*) = {
+    val s = spark
+    import s.implicits._
+    inters.toDF()
+  }
+
+  /** 1↔2 and 1→2→3→1 share the arc (1,2), which carries two interactions. */
+  private lazy val shared = toDF(
+    Interaction(1, 2, 1L, 4.0),
+    Interaction(1, 2, 2L, 3.0),
+    Interaction(2, 1, 3L, 2.0),
+    Interaction(2, 3, 4L, 1.0),
+    Interaction(3, 1, 5L, 5.0),
+  )
+
+  private def subgraph(net: DataFrame, seed: Int, cap: Int = 1000) =
+    SubgraphExtractor.extract(net, cap).collect().find(_.seed == seed)
+
+  test("an arc on both a 2-cycle and a 3-cycle of the seed contributes its interactions once") {
+    val sg = subgraph(shared, 1).get
+    assert(sg.inters === Seq(
+      Interaction(SourceId, 2, 1L, 4.0),
+      Interaction(SourceId, 2, 2L, 3.0),
+      Interaction(2, SinkId, 3L, 2.0),
+      Interaction(2, 3, 4L, 1.0),
+      Interaction(3, SinkId, 5L, 5.0),
+    ))
+  }
+
+  test("a self-loop on the seed stays out of the seed's cycle subgraph") {
+    val loopy = toDF(Interaction(1, 1, 1L, 9.0), Interaction(1, 2, 2L, 5.0), Interaction(2, 1, 3L, 3.0))
+    assert(subgraph(loopy, 1).get.inters === Seq(Interaction(SourceId, 2, 2L, 5.0), Interaction(2, SinkId, 3L, 3.0)))
+  }
+
+  test("parallel interactions on one arc are all kept, sorted by timestamp") {
+    val par = toDF(Interaction(1, 2, 7L, 1.0), Interaction(1, 2, 3L, 2.0), Interaction(1, 2, 5L, 3.0),
+      Interaction(2, 1, 9L, 4.0))
+    assert(subgraph(par, 1).get.inters === Seq(Interaction(SourceId, 2, 3L, 2.0), Interaction(SourceId, 2, 5L, 3.0),
+      Interaction(SourceId, 2, 7L, 1.0), Interaction(2, SinkId, 9L, 4.0)))
+  }
+
+  test("a subgraph of exactly the cap is kept and one above it dropped") {
+    assert(subgraph(shared, 1, cap = 5).map(_.inters.size) === Some(5))
+    assert(subgraph(shared, 1, cap = 4) === None)
+  }
+
+  test("an empty network yields no subgraphs and zero stats") {
+    val empty = toDF()
+    val ds    = SubgraphExtractor.extract(empty, 1000)
+    assert(ds.count() === 0)
+    assert(SubgraphExtractor.stats(ds) === ((0L, 0.0, 0.0, 0.0)))
+    assert(SubgraphExtractor.cycleArcs(empty).count() === 0)
+  }
+
+  /** The whole extraction as one DuckDB query: cycle joins on distinct
+    * edges, join back to the interactions, the cap as `COUNT(*) <= cap`,
+    * seed split.
+    */
+  private def extractionSql(cap: Int) =
+    s"""
+    WITH n AS (SELECT CAST(src AS INTEGER) AS src, CAST(dst AS INTEGER) AS dst,
+                      CAST(ts AS BIGINT) AS ts, CAST(qty AS DOUBLE) AS qty FROM net),
+    e AS (SELECT DISTINCT src, dst FROM n),
+    c2 AS (SELECT e1.src AS a, e1.dst AS b
+           FROM e e1 JOIN e e2 ON e1.dst = e2.src AND e2.dst = e1.src
+           WHERE e1.src <> e1.dst),
+    c3 AS (SELECT e1.src AS a, e1.dst AS b, e2.dst AS c
+           FROM e e1
+           JOIN e e2 ON e1.dst = e2.src
+           JOIN e e3 ON e2.dst = e3.src AND e3.dst = e1.src
+           WHERE e1.src <> e1.dst AND e2.dst <> e1.src AND e2.dst <> e1.dst),
+    arcs AS (SELECT DISTINCT seed, src, dst FROM (
+      SELECT a AS seed, a AS src, b AS dst FROM c2
+      UNION ALL SELECT a, b, a FROM c2
+      UNION ALL SELECT a, a, b FROM c3
+      UNION ALL SELECT a, b, c FROM c3
+      UNION ALL SELECT a, c, a FROM c3)),
+    tagged AS (SELECT arcs.seed, n.src, n.dst, n.ts, n.qty
+               FROM arcs JOIN n ON arcs.src = n.src AND arcs.dst = n.dst),
+    kept AS (SELECT seed FROM tagged GROUP BY seed HAVING COUNT(*) <= $cap)
+    SELECT t.seed AS seed,
+           CASE WHEN t.src = t.seed THEN $SourceId ELSE t.src END AS src,
+           CASE WHEN t.dst = t.seed THEN $SinkId ELSE t.dst END AS dst,
+           t.ts AS ts, t.qty AS qty
+    FROM tagged t JOIN kept ON t.seed = kept.seed
+    """
+
+  for ((spec, sf, cap) <- Seq((NetworkGen.ctuLike, 0.001, 20), (NetworkGen.bitcoinLike, 0.0001, 20)))
+    test(s"taggedInteractions on a generated ${spec.name} network matches the DuckDB extraction (oracle)") {
+      val gen    = NetworkGen.generate(spark, spec, sf)
+      val tagged = SubgraphExtractor.taggedInteractions(gen, cap)
+      val kept   = tagged.select("seed").distinct().count()
+      assert(kept > 0 && kept < SubgraphExtractor.cycleArcs(gen).select("seed").distinct().count(),
+        "the cap must keep some seeds and drop others")
+      Oracle.assertEquivalent(tagged.toDF(), extractionSql(cap), "net" -> gen)
+    }
 
   test("interaction cap discards oversized subgraphs") {
     val subs = SubgraphExtractor.extract(net, 2).collect()

@@ -1,7 +1,8 @@
 package repro.harness
 
 import repro.SparkSpec
-import repro.core.TestGraphs
+import repro.core.{Interaction, TestGraphs}
+import repro.data.SubgraphExtractor.{SinkId, SourceId, Subgraph}
 
 /** Smoke tests for the experiment harnesses at tiny scale (the real runs
   * live in the `bench` project), plus units for the timing helpers.
@@ -36,9 +37,21 @@ class HarnessSmokeSpec extends SparkSpec {
     assert(math.abs(row.greedyFlow - 1.0) < 1e-6)
   }
 
+  test("a subgraph whose measurement throws is reported by seed id; the others are still measured") {
+    def chain(seed: Int, q: Double) =
+      Subgraph(seed, Seq(Interaction(SourceId, 5, 1L, q), Interaction(5, SinkId, 2L, 2.0)))
+    // A negative quantity is rejected (as a negative LP bound or capacity).
+    val out = FlowExperiment.measureAll(Iterator(chain(1, 3.0), chain(2, -3.0), chain(3, 1.0))).toSeq
+    assert(out.map(_.seed) === Seq(1, 2, 3))
+    assert(out.map(_.row.map(_.maxFlow)) === Seq(Some(2.0), None, Some(1.0)))
+    assert(out(1).error.isDefined && out.map(_.mismatches).sum === 0L)
+  }
+
   test("FlowExperiment end-to-end on a tiny ctu network") {
     val report = FlowExperiment.run(spark, FlowExperiment.Config("ctu13", 0.001, 500))
     assert(report.mismatches === 0L)
+    assert(report.failures.isEmpty, report.failures.take(5))
+    assert(report.render.contains("failures: 0"))
     assert(report.render.contains("Table 5 row"))
     // Every measured subgraph agrees with the classifier's partition.
     val classes = report.rows.map(_.cls).toSet

@@ -1,6 +1,7 @@
 package repro.maxflow
 
 import repro.SparkSpec
+import repro.core.{FlowGraph, Greedy, Interaction, Solubility}
 
 /** Unit tests for the Dinic max-flow substrate. */
 class DinicSpec extends SparkSpec {
@@ -92,5 +93,20 @@ class DinicSpec extends SparkSpec {
   test("rejects out-of-range vertices") {
     val d = new Dinic(2)
     intercept[IllegalArgumentException] { d.addEdge(0, 2, 1.0) }
+  }
+
+  test("an augmenting path along a long holdover chain does not overflow the stack") {
+    // s→v→t with every v→t interaction later than every s→v one. Only the
+    // first s→v interaction carries a quantity; the others give v arrival
+    // versions but no capacity, so in TimeExpanded every augmenting path
+    // starts at v's first version and walks its whole holdover chain.
+    val n   = 100000
+    val m   = 50
+    val in  = (0 until n).map(i => Interaction(0, 1, i.toLong, if (i == 0) m.toDouble else 0.0))
+    val out = (0 until m).map(j => Interaction(1, 2, (n + j).toLong, 1.0))
+    val g   = FlowGraph(0, 2, in ++ out)
+    assert(Solubility.solvableByGreedy(g)) // Lemma 2: Greedy is the max flow
+    assert(math.abs(Greedy.flow(g) - m) < Tol)
+    assert(math.abs(TimeExpanded.maxFlow(g) - m) < Tol)
   }
 }
