@@ -9,7 +9,7 @@ import scala.collection.mutable
   * source (source-outgoing interactions are fixed at `x_i = q_i` — the
   * source's buffer is infinite so sending less can never help). Constraints:
   *
-  *   (1)  0 <= x_i <= q_i                                     (bound rows)
+  *   (1)  0 <= x_i <= q_i                                     (variable bounds)
   *   (2)  x_i <= Σ_{in before t_i} x_j − Σ_{out before t_i} x_j  per interaction
   *   (3)  maximize Σ_{dest_i = sink} x_i
   *
@@ -111,20 +111,12 @@ object MaxFlowLP {
       }
     }
 
-    // Bound rows x_i <= q_i (skipped for infinite quantities).
-    inters.indices.foreach { k =>
-      varIdx.get(k).foreach { vi =>
-        val q = inters(k).qty
-        if (!q.isInfinity) {
-          val row = Array.fill(n)(0.0)
-          row(vi) = 1.0
-          rows += row
-          rhs += q
-        }
-      }
-    }
+    // Bounds x_i <= q_i, passed to the simplex as variable bounds rather
+    // than rows; they still count as constraints of the LP.
+    val upper = new Array[Double](n)
+    varIdx.foreach { case (k, vi) => upper(vi) = inters(k).qty }
 
-    val sol = Simplex.maximize(rows.toArray, rhs.toArray, c)
-    Result(sol.value + directConst, n, rows.length)
+    val sol = Simplex.maximize(rows.toArray, rhs.toArray, c, upper)
+    Result(sol.value + directConst, n, rows.length + upper.count(!_.isInfinity))
   }
 }
